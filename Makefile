@@ -18,9 +18,12 @@ test:
 # (concurrent span writers racing trace readers), and the sharded
 # serving tier (scatter goroutines racing the breaker set and the
 # round-robin replica cursors), and the WAL (group-commit leaders
-# racing enqueuers, compaction-driven prunes, and health scrapes).
+# racing enqueuers, compaction-driven prunes, and health scrapes), and
+# the pipeline core (per-worker refinement scratch beside the sync.Once
+# Prepared cache that workers share) and the join views (readers racing
+# epoch swaps).
 race:
-	$(GO) test -race ./internal/harness/ ./internal/obs/ ./internal/server/ ./internal/de9im/ ./internal/oracle/ ./internal/snapshot/ ./internal/fault/ ./internal/trace/ ./internal/shard/ ./internal/shard/router/ ./internal/wal/
+	$(GO) test -race ./internal/harness/ ./internal/obs/ ./internal/server/ ./internal/de9im/ ./internal/oracle/ ./internal/snapshot/ ./internal/fault/ ./internal/trace/ ./internal/shard/ ./internal/shard/router/ ./internal/wal/ ./internal/core/ ./internal/join/
 
 # Differential correctness run (see README "Correctness"): a fixed-seed
 # sweep of generated lattice pairs through every production path,

@@ -73,3 +73,13 @@ func TestRelateMaskAgreesWithMatrix(t *testing.T) {
 		}
 	}
 }
+
+func TestDisjointMatrixLiteral(t *testing.T) {
+	want, err := de9im.ParseMatrix("FF2FF1212")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disjointMatrix != want {
+		t.Fatalf("disjointMatrix = %s, want %s", disjointMatrix, want)
+	}
+}

@@ -48,18 +48,32 @@ type cut struct {
 	t    float64
 }
 
-// Scratch holds the reusable per-pair noding state: window index lists
-// and cut accumulators. One Scratch serves one goroutine; reusing it
-// across pairs makes steady-state refinement allocation-free (the
-// zero-alloc guard test pins this). The zero value is ready to use.
+// Scratch holds the reusable per-pair noding state: window index lists,
+// cut accumulators and touched-edge lists. One Scratch serves one
+// goroutine; reusing it across pairs makes steady-state refinement
+// allocation-free (the zero-alloc guard test pins this). The zero value
+// is ready to use.
 type Scratch struct {
 	rWin, sWin   []int32
 	rCuts, sCuts []cut
+	// rHits and sHits list the edges that any SegIntersect result touched
+	// (crossing, endpoint touch or collinear overlap), sorted ascending
+	// after node and possibly repeated. Every edge with a cut is listed.
+	rHits, sHits []int32
 }
 
 func (sc *Scratch) reset() {
 	sc.rWin, sc.sWin = sc.rWin[:0], sc.sWin[:0]
 	sc.rCuts, sc.sCuts = sc.rCuts[:0], sc.sCuts[:0]
+	sc.rHits, sc.sHits = sc.rHits[:0], sc.sHits[:0]
+}
+
+// addHit records edge idx as touched, skipping the common immediate repeat
+// (the sweep tests one edge against a run of partners in a row).
+func addHit(hits *[]int32, idx int32) {
+	if n := len(*hits); n == 0 || (*hits)[n-1] != idx {
+		*hits = append(*hits, idx)
+	}
 }
 
 // addCut appends the cut of p on edge e (index idx) if it is interior
@@ -126,6 +140,8 @@ func (sc *Scratch) node(r, s *Prepared) (anyPoint bool) {
 
 	sortCuts(sc.rCuts)
 	sortCuts(sc.sCuts)
+	slices.Sort(sc.rHits)
+	slices.Sort(sc.sHits)
 	return anyPoint
 }
 
@@ -135,6 +151,13 @@ func (sc *Scratch) intersectPair(r, s *Prepared, ri, si int32, pad float64) bool
 		return false
 	}
 	x := geom.SegIntersect(re.a, re.b, se.a, se.b)
+	if x.Kind == geom.SegNone {
+		return false
+	}
+	// A touch at an edge endpoint leaves no cut but still marks the edge:
+	// a crossing exactly at a vertex must end the untouched run there.
+	addHit(&sc.rHits, ri)
+	addHit(&sc.sHits, si)
 	switch x.Kind {
 	case geom.SegPoint:
 		addCut(&sc.rCuts, ri, re, x.P)
@@ -145,9 +168,8 @@ func (sc *Scratch) intersectPair(r, s *Prepared, ri, si int32, pad float64) bool
 		addCut(&sc.rCuts, ri, re, x.Q)
 		addCut(&sc.sCuts, si, se, x.P)
 		addCut(&sc.sCuts, si, se, x.Q)
-		return true
 	}
-	return false
+	return true
 }
 
 func sortCuts(cuts []cut) {

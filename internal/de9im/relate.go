@@ -92,56 +92,142 @@ func probe(pt geom.Point, other, own *geom.Locator) geom.Location {
 	return loc
 }
 
-// classifyMid folds the location of one noded-segment midpoint into the
-// side flags.
-func classifyMid(mid geom.Point, loc *geom.Locator, in, on, out *bool) {
-	switch loc.Locate(mid) {
+// sideFlags records where one geometry's noded boundary lies relative to
+// the other geometry: in its interior, on its boundary, in its exterior.
+type sideFlags struct{ in, on, out bool }
+
+func (f *sideFlags) add(l geom.Location) {
+	switch l {
 	case geom.Inside:
-		*in = true
+		f.in = true
 	case geom.OnBoundary:
-		*on = true
+		f.on = true
 	default:
-		*out = true
+		f.out = true
 	}
 }
 
-// classifySide classifies the midpoint of every noded sub-segment of one
-// boundary against the other geometry's locator. cuts must be sorted by
-// (edge, t); the walk uses a single cursor over the contiguous per-edge
-// runs, so it allocates nothing. Early-exits once all three flags are set.
-func classifySide(edges []prepEdge, cuts []cut, loc *geom.Locator, in, on, out *bool) {
-	c := 0
-	for i := range edges {
-		if *in && *on && *out {
-			return
+func (f *sideFlags) full() bool { return f.in && f.on && f.out }
+
+// classifySide classifies one boundary of p against the other geometry's
+// locator, walking ring by ring. Ring extents come from p.Geom (edges are
+// stored in Geom.Edges order), so no per-object ring table is kept.
+//
+// A run is a maximal chain of consecutive edges of one ring that no
+// SegIntersect result touched (hits, sorted). A run is connected and
+// disjoint from the other boundary, so it lies wholly in the other
+// geometry's open interior or open exterior: one point location (the
+// midpoint of its first edge) classifies every edge in it. Should that
+// midpoint locate OnBoundary — the locator's tolerance disagreeing with
+// the noder's — the run falls back to one location per edge. Touched edges
+// are classified per noded sub-segment from their cuts (sorted by
+// (edge, t)) and end the current run. The walk starts each ring at its
+// first touched edge, so a run wrapping past vertex 0 stays one run.
+// Early-exits once all three flags are set; allocates nothing.
+func classifySide(p *Prepared, cuts []cut, hits []int32, loc *geom.Locator) (f sideFlags) {
+	var w sideWalk
+	w.edges, w.cuts, w.hits, w.loc = p.edges, cuts, hits, loc
+	for _, poly := range p.Geom.Polys {
+		if w.ring(len(poly.Shell), &f) {
+			return f
 		}
-		lo := c
-		for c < len(cuts) && cuts[c].edge == int32(i) {
-			c++
-		}
-		e := &edges[i]
-		run := cuts[lo:c]
-		if len(run) == 0 {
-			classifyMid(geom.Midpoint(e.a, e.b), loc, in, on, out)
-			continue
-		}
-		// Same dedup chain as forEachNodedSub, with the midpoint taken
-		// inline instead of through callbacks.
-		prev := 0.0
-		for _, ct := range run {
-			if ct.t-prev > 1e-12 {
-				classifySub(e, prev, ct.t, loc, in, on, out)
-				prev = ct.t
+		for _, h := range poly.Holes {
+			if w.ring(len(h), &f) {
+				return f
 			}
 		}
-		classifySub(e, prev, 1, loc, in, on, out)
 	}
+	return f
 }
 
-func classifySub(e *prepEdge, t0, t1 float64, loc *geom.Locator, in, on, out *bool) {
+// sideWalk carries classifySide's cursors across rings. Rings are visited
+// in edge order and touched edges in ascending order within each ring, so
+// the hit and cut cursors only ever move forward.
+type sideWalk struct {
+	edges []prepEdge
+	cuts  []cut
+	hits  []int32
+	loc   *geom.Locator
+	base  int // first edge of the current ring
+	c, h  int // cursors into cuts and hits
+}
+
+// ring classifies the n edges of the next ring into f and reports whether
+// f is full. Once a run's first edge is located, the walk jumps straight
+// to the next touched edge: the rest of the run adds nothing new.
+func (w *sideWalk) ring(n int, f *sideFlags) bool {
+	lo, hi := w.base, w.base+n
+	w.base = hi
+	start := lo
+	if w.h < len(w.hits) && int(w.hits[w.h]) < hi {
+		start = int(w.hits[w.h])
+	}
+	// at maps walk position k to its edge index, wrapping past vertex 0.
+	at := func(k int) int {
+		if start+k >= hi {
+			return start + k - n
+		}
+		return start + k
+	}
+	for k := 0; k < n; {
+		i := at(k)
+		if w.h < len(w.hits) && int(w.hits[w.h]) == i {
+			for w.h < len(w.hits) && int(w.hits[w.h]) == i {
+				w.h++
+			}
+			w.classifyTouched(int32(i), &w.edges[i], f)
+			k++
+		} else {
+			// The run reaches up to the ring's next touched edge, or to
+			// the end of the walk (the hits left all lie at or past hi).
+			end := n
+			if w.h < len(w.hits) && int(w.hits[w.h]) < hi {
+				end = int(w.hits[w.h]) - start
+			}
+			e := &w.edges[i]
+			l := w.loc.Locate(geom.Midpoint(e.a, e.b))
+			f.add(l)
+			if l == geom.OnBoundary { // tolerance disagreement: per edge
+				for j := k + 1; j < end; j++ {
+					e = &w.edges[at(j)]
+					f.add(w.loc.Locate(geom.Midpoint(e.a, e.b)))
+				}
+			}
+			k = end
+		}
+		if f.full() {
+			return true
+		}
+	}
+	return false
+}
+
+// classifyTouched classifies every noded sub-segment of touched edge i.
+// Same dedup chain as forEachNodedSub, with the midpoint taken inline
+// instead of through callbacks.
+func (w *sideWalk) classifyTouched(i int32, e *prepEdge, f *sideFlags) {
+	lo := w.c
+	for w.c < len(w.cuts) && w.cuts[w.c].edge == i {
+		w.c++
+	}
+	if lo == w.c { // touched only at an endpoint: one sub-segment
+		f.add(w.loc.Locate(geom.Midpoint(e.a, e.b)))
+		return
+	}
+	prev := 0.0
+	for _, ct := range w.cuts[lo:w.c] {
+		if ct.t-prev > 1e-12 {
+			classifySub(e, prev, ct.t, w.loc, f)
+			prev = ct.t
+		}
+	}
+	classifySub(e, prev, 1, w.loc, f)
+}
+
+func classifySub(e *prepEdge, t0, t1 float64, loc *geom.Locator, f *sideFlags) {
 	if t1-t0 > 1e-12 {
 		mid := geom.Midpoint(geom.Lerp(e.a, e.b, t0), geom.Lerp(e.a, e.b, t1))
-		classifyMid(mid, loc, in, on, out)
+		f.add(loc.Locate(mid))
 	}
 }
 
@@ -163,8 +249,14 @@ func RelatePrepared(r, s *Prepared) Matrix {
 // interiors and exteriors are open sets, boundary/interior and
 // boundary/exterior intersections are never isolated points, which makes
 // the segment flags sufficient for all B-row and B-column entries.
-// Area entries (II, IE, EI) follow from the flags plus per-component
-// interior-point probes; DESIGN.md §4 sketches the completeness argument.
+// Boundary edges that no intersection touched need not be located one by
+// one: a maximal chain of them along a ring is connected and disjoint from
+// the other boundary, so it lies in one open region of the other geometry
+// and a single location classifies the whole chain (classifySide; a chain
+// whose representative locates on the boundary falls back to per-edge
+// location). Area entries (II, IE, EI) follow from the flags plus
+// per-component interior-point probes; DESIGN.md §4 sketches the
+// completeness argument.
 func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 	var m Matrix
 	for i := range m {
@@ -186,26 +278,29 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 		sc = new(Scratch)
 	}
 	anyPoint := sc.node(r, s)
+	rf := classifySide(r, sc.rCuts, sc.rHits, s.locator)
+	sf := classifySide(s, sc.sCuts, sc.sHits, r.locator)
+	return fromFlags(m, r, s, anyPoint, rf, sf)
+}
 
-	var rIn, rOn, rOut, sIn, sOn, sOut bool
-	classifySide(r.edges, sc.rCuts, s.locator, &rIn, &rOn, &rOut)
-	classifySide(s.edges, sc.sCuts, r.locator, &sIn, &sOn, &sOut)
-
+// fromFlags completes m from the noding result and both sides' boundary
+// flags.
+func fromFlags(m Matrix, r, s *Prepared, anyPoint bool, rf, sf sideFlags) Matrix {
 	// Boundary rows/columns.
-	if rIn {
+	if rf.in {
 		m[BI] = Dim1
 	}
-	if rOut {
+	if rf.out {
 		m[BE] = Dim1
 	}
-	if sIn {
+	if sf.in {
 		m[IB] = Dim1
 	}
-	if sOut {
+	if sf.out {
 		m[EB] = Dim1
 	}
 	switch {
-	case rOn || sOn:
+	case rf.on || sf.on:
 		m[BB] = Dim1
 	case anyPoint:
 		m[BB] = Dim0
@@ -213,13 +308,13 @@ func RelateScratch(r, s *Prepared, sc *Scratch) Matrix {
 
 	// Area entries. A boundary segment of one geometry inside the other's
 	// interior witnesses area overlap on both sides of that segment.
-	if rIn || sIn {
+	if rf.in || sf.in {
 		m[II] = Dim2
 	}
-	if rOut || sIn {
+	if rf.out || sf.in {
 		m[IE] = Dim2
 	}
-	if sOut || rIn {
+	if sf.out || rf.in {
 		m[EI] = Dim2
 	}
 
