@@ -1,7 +1,7 @@
 # Developer targets; `make check` is the pre-commit gate.
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-compare check serve difftest faulttest e2e
+.PHONY: build test race race-full vet bench bench-json bench-compare check serve difftest faulttest e2e
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,14 @@ test:
 # epoch swaps).
 race:
 	$(GO) test -race ./internal/harness/ ./internal/obs/ ./internal/server/ ./internal/de9im/ ./internal/oracle/ ./internal/snapshot/ ./internal/fault/ ./internal/trace/ ./internal/shard/ ./internal/shard/router/ ./internal/wal/ ./internal/core/ ./internal/join/
+
+# Every package under the race detector: the serving path shares one
+# sweep engine (harness.Sweep) across the harness, the server and the
+# commands and examples built on them, so a hand-picked list can miss a
+# caller. Slow (minutes on two CPUs); CI runs it as its own job beside
+# `make check`.
+race-full:
+	$(GO) test -race ./...
 
 # Differential correctness run (see README "Correctness"): a fixed-seed
 # sweep of generated lattice pairs through every production path,
@@ -61,19 +69,19 @@ bench:
 # trajectory"): a small fixed-seed benchrun suite written as JSON. CI
 # runs this as a smoke test of the recording harness; the checked-in
 # BENCH_N.json artifacts are produced by the full default suite
-# (`go run ./cmd/benchrun -out BENCH_N.json`).
+# (`go run ./cmd/benchrun -out BENCH_N.json -label BENCH_N`).
 bench-json:
 	$(GO) run ./cmd/benchrun -scale 0.05 -pairs 500 -trials 3 -label BENCH_SMOKE -out bench-smoke.json
 	head -c 400 bench-smoke.json; echo
 
 # Benchmark comparison smoke (see README "Performance"): re-runs the
 # default suite at the checked-in baseline's workload parameters and
-# diffs against BENCH_7.json with `-regress 0` — gating on the harness
+# diffs against BENCH_8.json, the latest point, with `-regress 0` — gating on the harness
 # completing and the deterministic verdict fingerprints matching, never
 # on absolute timings (machines differ). A fingerprint drift means the
 # pipelines changed verdicts: a correctness failure, not a perf one.
 bench-compare:
-	$(GO) run ./cmd/benchrun -trials 1 -warmup 1 -label BENCH_CI -out bench-ci.json -compare BENCH_7.json -regress 0
+	$(GO) run ./cmd/benchrun -trials 1 -warmup 1 -label BENCH_CI -out bench-ci.json -compare BENCH_8.json -regress 0
 
 # Multi-process end-to-end smoke of the sharded serving tier (see
 # README "Sharded serving"): builds real topojoind + topojoinrouter

@@ -283,7 +283,7 @@ func BenchmarkParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				harness.RunFindRelationParallel(core.PC, pairs, workers)
+				harness.RunFindRelationParallelCtx(context.Background(), core.PC, pairs, workers, nil)
 			}
 		})
 	}

@@ -1,14 +1,16 @@
 // Command benchrun records one point of the repo's benchmark
 // trajectory: a fixed-seed sweep of every find-relation pipeline over
 // seeded synthetic workloads, reported as per-pair cost with the
-// filter/refine split and allocation rate, and written as a BENCH_N.json
-// artifact at the repo root. Each PR that claims a performance change
-// appends a new BENCH_N.json produced by the same harness, so "faster"
-// is always a diff between two recorded points rather than an assertion.
+// filter/refine split and allocation rate, and written as JSON — to
+// stdout by default, or with -out as a BENCH_N.json artifact at the repo
+// root. Each change that claims a performance effect records a new
+// BENCH_N.json with the same harness, so "faster" is always a diff
+// between two recorded points rather than an assertion.
 //
-//	benchrun -out BENCH_7.json                    # record the default suite
+//	benchrun -out BENCH_9.json -label BENCH_9     # record a trajectory point
+//	benchrun -out run.json -compare BENCH_8.json  # diff against the latest point
 //	benchrun -combos OLE:OPE -pairs 2000 -trials 3
-//	benchrun -scale 0.05 -out -                   # quick run to stdout
+//	benchrun -scale 0.05                          # quick run to stdout
 //
 // The workload is deterministic: a fixed seed produces the same
 // datasets, the same candidate pairs (capped at -pairs per combo, so
@@ -34,15 +36,15 @@ import (
 
 func main() {
 	var (
-		seed   = flag.Int64("seed", 2026, "generator seed")
-		scale  = flag.Float64("scale", 0.2, "dataset cardinality multiplier")
-		order  = flag.Uint("order", datagen.DefaultOrder, "global grid order (2^order cells per side)")
-		combos = flag.String("combos", "OLE:OPE,OBE:OPE", "comma-separated dataset combos (L:R)")
-		pairs  = flag.Int("pairs", 4000, "max candidate pairs swept per combo (0 = all)")
-		warmup = flag.Int("warmup", 1, "discarded warmup sweeps per pipeline")
-		trials = flag.Int("trials", 5, "measured sweeps per pipeline (median reported)")
-		out     = flag.String("out", "BENCH_8.json", "output path (- for stdout)")
-		label   = flag.String("label", "BENCH_8", "benchmark point label recorded in the artifact")
+		seed    = flag.Int64("seed", 2026, "generator seed")
+		scale   = flag.Float64("scale", 0.2, "dataset cardinality multiplier")
+		order   = flag.Uint("order", datagen.DefaultOrder, "global grid order (2^order cells per side)")
+		combos  = flag.String("combos", "OLE:OPE,OBE:OPE", "comma-separated dataset combos (L:R)")
+		pairs   = flag.Int("pairs", 4000, "max candidate pairs swept per combo (0 = all)")
+		warmup  = flag.Int("warmup", 1, "discarded warmup sweeps per pipeline")
+		trials  = flag.Int("trials", 5, "measured sweeps per pipeline (median reported)")
+		out     = flag.String("out", "-", "output path (- for stdout)")
+		label   = flag.String("label", "local", "benchmark point label recorded in the artifact")
 		compare = flag.String("compare", "", "baseline BENCH_N.json to diff against (prints per-combo deltas, verifies fingerprints)")
 		regress = flag.Float64("regress", 0, "with -compare: fail if any pipeline's ns/pair regresses more than this percent (<= 0 gates on fingerprints only)")
 	)
@@ -108,14 +110,14 @@ type config struct {
 // allocation fields is a pure function of (seed, scale, order, combos,
 // pairs) and must be byte-identical across runs and machines.
 type Report struct {
-	Bench   string       `json:"bench"`
-	Version string       `json:"version"`
-	Seed    int64        `json:"seed"`
-	Scale   float64      `json:"scale"`
-	Order   uint         `json:"grid_order"`
-	Warmup  int          `json:"warmup"`
-	Trials  int          `json:"trials"`
-	GoArch  string       `json:"goarch"`
+	Bench   string        `json:"bench"`
+	Version string        `json:"version"`
+	Seed    int64         `json:"seed"`
+	Scale   float64       `json:"scale"`
+	Order   uint          `json:"grid_order"`
+	Warmup  int           `json:"warmup"`
+	Trials  int           `json:"trials"`
+	GoArch  string        `json:"goarch"`
 	Combos  []ComboReport `json:"combos"`
 }
 

@@ -12,13 +12,20 @@ import (
 // computed, short-cutting only the MBR-disjoint case (whose matrix is
 // known without geometry).
 func RelateMask(m Method, r, s *Object, mask de9im.Mask) RelateResult {
+	rr, _ := relateMask(m, r, s, mask, Refine)
+	return rr
+}
+
+// relateMask is RelateMask with a custom refinement step, also reporting
+// the stage that settled the pair.
+func relateMask(m Method, r, s *Object, mask de9im.Mask, refine Refiner) (RelateResult, Verdict) {
 	if rel, ok := maskRelation(mask); ok {
-		return RelatePred(m, r, s, rel)
+		return relatePred(m, r, s, rel, refine)
 	}
 	if mbrrel.Classify(r.MBR, s.MBR) == mbrrel.DisjointMBRs {
-		return RelateResult{Holds: mask.Matches(disjointMatrix)}
+		return RelateResult{Holds: mask.Matches(disjointMatrix)}, VerdictMBR
 	}
-	return RelateResult{Holds: mask.Matches(Refine(r, s)), Refined: true}
+	return RelateResult{Holds: mask.Matches(refine(r, s)), Refined: true}, VerdictRefine
 }
 
 // maskRelation reverse-maps a mask to the relation whose Table 1 mask set

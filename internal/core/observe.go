@@ -44,11 +44,11 @@ func (v Verdict) String() string {
 }
 
 // PipelineSink receives one event per pair evaluated by the observed
-// find-relation path: the settled result, the stage that settled it, and
-// the measured filter and refinement durations (filter excludes
-// refinement; their sum is the pair's total). Implementations used from
-// the parallel sweep must either be confined to one worker or be safe
-// for concurrent use (PipelineMetrics is).
+// find-relation path or a Sweeper: the settled result, the stage that
+// settled it, and the measured filter and refinement durations (filter
+// excludes refinement; their sum is the pair's total). Implementations
+// used from the parallel sweep must either be confined to one worker or
+// be safe for concurrent use (PipelineMetrics is).
 type PipelineSink interface {
 	ObservePair(m Method, res Result, v Verdict, filter, refine time.Duration)
 }

@@ -95,27 +95,34 @@ type RelateResult struct {
 // interval filter, refining only on Unknown. The other methods answer via
 // their find-relation pipeline.
 func RelatePred(m Method, r, s *Object, pred de9im.Relation) RelateResult {
+	rr, _ := relatePred(m, r, s, pred, Refine)
+	return rr
+}
+
+// relatePred is RelatePred with a custom refinement step, also reporting
+// the stage that settled the pair.
+func relatePred(m Method, r, s *Object, pred de9im.Relation, refine Refiner) (RelateResult, Verdict) {
 	c := mbrrel.Classify(r.MBR, s.MBR)
 	if c == mbrrel.DisjointMBRs {
-		return RelateResult{Holds: pred == de9im.Disjoint}
+		return RelateResult{Holds: pred == de9im.Disjoint}, VerdictMBR
 	}
 	if m != PC {
-		res := FindRelation(m, r, s)
-		return RelateResult{Holds: Implies(res.Relation, pred), Refined: res.Refined}
+		res := FindRelationWith(m, r, s, refine)
+		return RelateResult{Holds: Implies(res.Relation, pred), Refined: res.Refined}, verdictOf(res)
 	}
 	if !mbrrel.Possible(c, pred) {
-		return RelateResult{Holds: false}
+		return RelateResult{Holds: false}, VerdictMBR
 	}
 	if rel, ok := mbrrel.Definite(c); ok {
-		return RelateResult{Holds: Implies(rel, pred)}
+		return RelateResult{Holds: Implies(rel, pred)}, VerdictMBR
 	}
 	switch relateFilter(pred, r, s) {
 	case Yes:
-		return RelateResult{Holds: true}
+		return RelateResult{Holds: true}, VerdictIF
 	case No:
-		return RelateResult{Holds: false}
+		return RelateResult{Holds: false}, VerdictIF
 	default:
-		return RelateResult{Holds: de9im.Holds(pred, Refine(r, s)), Refined: true}
+		return RelateResult{Holds: de9im.Holds(pred, refine(r, s)), Refined: true}, VerdictRefine
 	}
 }
 

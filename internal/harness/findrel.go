@@ -26,7 +26,9 @@ type MethodStats struct {
 	// FilterTime+RefineTime <= Elapsed per worker.
 	FilterTime time.Duration // MBR + intermediate filter time
 	RefineTime time.Duration // DE-9IM time
-	Relations  [de9im.NumRelations]int
+	// Relations tallies find-relation results; relate_p and mask sweeps
+	// leave it zero.
+	Relations [de9im.NumRelations]int
 	// SlowPair is the index (into the sweep's pair slice) of the pair
 	// with the largest filter+refine time, the seed of the slow-query
 	// forensics; only meaningful when SlowPairTime > 0.
@@ -53,6 +55,7 @@ func (s MethodStats) UndeterminedPct() float64 {
 // merge accumulates another partial sweep (e.g. one worker's share) into
 // s. Elapsed is deliberately not merged: wall clock is the caller's.
 func (s *MethodStats) merge(o MethodStats) {
+	s.Pairs += o.Pairs
 	s.MBRSettled += o.MBRSettled
 	s.IFSettled += o.IFSettled
 	s.Undetermined += o.Undetermined
@@ -83,7 +86,8 @@ func (s MethodStats) Publish(reg *obs.Registry, prefix string) {
 	}
 }
 
-// statsSink accumulates observed pipeline events into a MethodStats.
+// statsSink accumulates observed pipeline events into a MethodStats
+// (all but Relations, which only find-relation events carry).
 // It is not safe for concurrent use: the parallel sweep gives each
 // worker its own and merges afterwards. The last* fields replay the
 // most recent event to the sweep loop — which, unlike the sink, knows
@@ -110,7 +114,7 @@ func (k *statsSink) settled() (time.Duration, bool) {
 	return k.lastFilter + k.lastRefine, true
 }
 
-func (k *statsSink) ObservePair(_ core.Method, res core.Result, v core.Verdict, filter, refine time.Duration) {
+func (k *statsSink) ObservePair(_ core.Method, _ core.Result, v core.Verdict, filter, refine time.Duration) {
 	switch v {
 	case core.VerdictMBR:
 		k.st.MBRSettled++
@@ -119,7 +123,6 @@ func (k *statsSink) ObservePair(_ core.Method, res core.Result, v core.Verdict, 
 	default:
 		k.st.Undetermined++
 	}
-	k.st.Relations[res.Relation]++
 	k.st.FilterTime += filter
 	k.st.RefineTime += refine
 	k.lastVerdict, k.lastFilter, k.lastRefine = v, filter, refine
@@ -139,11 +142,13 @@ func noteSlow(st *MethodStats, idx int, d time.Duration) {
 func RunFindRelation(m core.Method, pairs []Pair) MethodStats {
 	st := MethodStats{Method: m, Pairs: len(pairs)}
 	sink := &statsSink{st: &st}
-	sweep := core.NewSweeper(m, sink)
+	sweep := core.NewSweeper(sink)
+	defer sweep.Release()
 	start := time.Now()
 	for i, p := range pairs {
 		sink.begin()
-		sweep.FindRelation(p.R, p.S)
+		res := sweep.FindRelation(m, p.R, p.S)
+		st.Relations[res.Relation]++
 		if d, ok := sink.settled(); ok {
 			noteSlow(&st, i, d)
 		}

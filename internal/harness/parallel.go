@@ -34,43 +34,89 @@ func (e *PanicError) Error() string {
 		e.Count, e.Index, e.Value)
 }
 
-// RunFindRelationParallel sweeps method m over the pairs with a worker
-// pool, as in the parallel in-memory join evaluation the paper builds on
-// (Tsitsigkos et al., SIGSPATIAL 2019). Pairs are claimed in chunks from
-// an atomic cursor so stragglers (high-complexity refinements) do not
-// imbalance the workers. workers <= 0 selects GOMAXPROCS.
-//
-// Each worker keeps a private MethodStats fed by its own pipeline sink;
-// the partials are merged after the pool drains, so the verdict split
-// and the stage timers survive parallelism. FilterTime and RefineTime
-// are therefore aggregate CPU time across workers, not wall clock.
-// A non-nil error is either a *PanicError (some pairs' evaluation
-// panicked; the rest were still swept) or the context's error from a
-// cancelled Ctx variant.
-func RunFindRelationParallel(m core.Method, pairs []Pair, workers int) (MethodStats, error) {
-	return RunFindRelationParallelCtx(context.Background(), m, pairs, workers, nil)
+// An Op evaluates pair i of a sweep through one of the operations its
+// worker's sweeper offers — FindRelation, RelatePred or RelateMask — and
+// keeps whatever answer its caller wants; ops run concurrently on all
+// workers. An op may skip a pair by evaluating nothing: a skipped pair
+// is neither counted nor traced.
+type Op func(w *Worker, i int)
+
+// Worker is one sweep worker, handed to the Op with every pair: a
+// core.Sweeper, whose pooled scratch and timed refiner serve all three
+// operations, feeding the worker's partial stats.
+type Worker struct {
+	*core.Sweeper
+	sink statsSink
 }
 
-// RunFindRelationParallelCtx is RunFindRelationParallel with per-request
-// cancellation and an optional per-pair visitor, the entry point used by
-// deadline-bound callers (the query service). Workers re-check ctx at
-// every chunk claim, so a cancelled sweep stops within one chunk per
-// worker; the returned error is ctx's and the stats cover only the pairs
-// actually evaluated (Pairs is reduced accordingly). visit, when
-// non-nil, is called concurrently from the workers with the pair index
-// and its result; it must be safe for concurrent use.
-func RunFindRelationParallelCtx(ctx context.Context, m core.Method, pairs []Pair, workers int, visit func(i int, res core.Result)) (MethodStats, error) {
+// Tally is one request's share of a sweep that serves several requests
+// at once, as the relate batcher's does: its settled and refined pair
+// counts, its panicked pairs, its slowest pair, and the trace span its
+// pair spans hang under. The engine updates it from the workers under
+// its lock; read it after Sweep returns.
+type Tally struct {
+	Span *trace.Span
+
+	mu           sync.Mutex
+	Pairs        int
+	Refined      int
+	Panics       int
+	SlowPair     Pair
+	SlowPairTime time.Duration
+}
+
+func (t *Tally) settle(p Pair, v core.Verdict, d time.Duration) {
+	t.mu.Lock()
+	t.Pairs++
+	if v == core.VerdictRefine {
+		t.Refined++
+	}
+	if d > t.SlowPairTime {
+		t.SlowPair, t.SlowPairTime = p, d
+	}
+	t.mu.Unlock()
+}
+
+func (t *Tally) panicked() {
+	t.mu.Lock()
+	t.Panics++
+	t.mu.Unlock()
+}
+
+// Sweep is the parallel sweep engine behind every filter→refine pass of
+// the repo — find-relation, relate_p and mask; joins and batched relate
+// probes. It runs op over the pairs on a worker pool, as in the parallel
+// in-memory join evaluation the paper builds on (Tsitsigkos et al.,
+// SIGSPATIAL 2019). Pairs are claimed in chunks from an atomic cursor so
+// stragglers (high-complexity refinements) do not imbalance the workers.
+// workers <= 0 selects GOMAXPROCS.
+//
+// The engine owns everything around the op:
+//   - cancellation: workers re-check ctx at every chunk claim, so a
+//     cancelled sweep stops within one chunk per worker and returns
+//     ctx's error;
+//   - panic isolation: each pair runs behind a recover barrier, and the
+//     sweep returns a *PanicError once every other pair is done;
+//   - stats: each worker keeps a private MethodStats fed by its
+//     sweeper's events, merged after the pool drains — so FilterTime
+//     and RefineTime are CPU time summed across workers, not wall
+//     clock, and Pairs counts only the pairs that settled;
+//   - forensics: the slowest pair, and with a sampled trace in ctx one
+//     sweep.worker span per worker carrying pair spans with their
+//     filter/refine stage children.
+//
+// tally, when non-nil, names the request each pair belongs to in a
+// sweep serving several: that pair's counts, panic and slowness also go
+// to its Tally, and its pair span hangs under the Tally's span instead
+// of a worker span.
+func Sweep(ctx context.Context, pairs []Pair, workers int, tally func(i int) *Tally, op Op) (MethodStats, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pairs) && len(pairs) > 0 {
-		workers = len(pairs)
-	}
-	st := MethodStats{Method: m, Pairs: len(pairs)}
+	workers = max(1, min(workers, len(pairs)))
 	const chunk = 16
 
 	var cursor atomic.Int64
-	var skipped atomic.Int64
 	partial := make([]MethodStats, workers)
 
 	// First recovered panic wins the detail slot; the rest just count.
@@ -79,58 +125,66 @@ func RunFindRelationParallelCtx(ctx context.Context, m core.Method, pairs []Pair
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for n := range partial {
 		wg.Add(1)
-		go func(w int, self *MethodStats) {
+		go func() {
 			defer wg.Done()
-			// When the request's trace is sampled, each worker gets its
-			// own child span — parallel lanes in the Chrome export — and
-			// hangs per-pair spans off it. With tracing off or unsampled,
-			// wsp is nil and every span call below is a pointer check.
+			w := &Worker{sink: statsSink{st: &partial[n]}}
+			w.Sweeper = core.NewSweeper(&w.sink)
+			defer w.Release()
+			// With tracing off or unsampled, wsp is nil and every span
+			// call below is a pointer check.
 			wsp := trace.FromContext(ctx).Child("sweep.worker")
-			wsp.SetInt("worker", int64(w))
+			wsp.SetInt("worker", int64(n))
 			swept := 0
-			sink := &statsSink{st: self}
-			sweep := core.NewSweeper(m, sink)
 			for {
 				lo := int(cursor.Add(chunk)) - chunk
 				if lo >= len(pairs) {
 					break
 				}
-				hi := lo + chunk
-				if hi > len(pairs) {
-					hi = len(pairs)
-				}
+				hi := min(lo+chunk, len(pairs))
 				if ctx.Err() != nil {
-					skipped.Add(int64(hi - lo))
 					continue // keep claiming to drain the cursor fast
 				}
-				for i, p := range pairs[lo:hi] {
-					sink.begin()
-					if pv, stack := evalPairGuarded(sweep, p, lo+i, visit); pv != nil {
-						skipped.Add(1) // no verdict: keep Pairs honest
+				for i := lo; i < hi; i++ {
+					var t *Tally
+					if tally != nil {
+						t = tally(i)
+					}
+					w.sink.begin()
+					if pv, stack := w.eval(op, i); pv != nil {
 						pmu.Lock()
 						if perr == nil {
-							perr = &PanicError{Index: lo + i, Value: pv, Stack: stack}
+							perr = &PanicError{Index: i, Value: pv, Stack: stack}
 						}
 						perr.Count++
 						pmu.Unlock()
+						if t != nil {
+							t.panicked()
+						}
 						continue
 					}
-					if d, ok := sink.settled(); ok {
-						noteSlow(self, lo+i, d)
-						recordPairSpan(wsp, lo+i, p, sink, d)
+					d, ok := w.sink.settled()
+					if !ok {
+						continue
 					}
+					w.sink.st.Pairs++
+					noteSlow(w.sink.st, i, d)
+					parent := wsp
+					if t != nil {
+						t.settle(pairs[i], w.sink.lastVerdict, d)
+						parent = t.Span
+					}
+					recordPairSpan(parent, i, pairs[i], &w.sink, d)
 				}
 				swept += hi - lo
 			}
 			wsp.SetInt("pairs", int64(swept))
 			wsp.End()
-		}(w, &partial[w])
+		}()
 	}
 	wg.Wait()
-	st.Elapsed = time.Since(start)
-	st.Pairs -= int(skipped.Load())
+	st := MethodStats{Elapsed: time.Since(start)}
 	for _, p := range partial {
 		st.merge(p)
 	}
@@ -140,17 +194,32 @@ func RunFindRelationParallelCtx(ctx context.Context, m core.Method, pairs []Pair
 	return st, ctx.Err()
 }
 
+// eval runs op on pair i behind the recover barrier: a panic —
+// degenerate geometry, a bug in a pipeline stage, a fault injected by a
+// test — is captured and returned instead of unwinding through the
+// worker and killing the process.
+func (w *Worker) eval(op Op, i int) (pv any, stack string) {
+	defer func() {
+		if r := recover(); r != nil {
+			pv = r
+			stack = string(debug.Stack())
+		}
+	}()
+	op(w, i)
+	return nil, ""
+}
+
 // recordPairSpan retroactively attaches one pair span (with its
-// filter/refine stage children) under the worker span, reusing the
-// durations the pipeline sink already measured — no extra clock reads
-// on the unsampled path, one on the sampled path. No-op when wsp is nil
-// or the trace's span budget is spent.
-func recordPairSpan(wsp *trace.Span, idx int, p Pair, sink *statsSink, total time.Duration) {
-	if !wsp.Recording() {
+// filter/refine stage children) under parent, reusing the durations the
+// sweeper already measured — no extra clock reads on the unsampled
+// path, one on the sampled path. No-op when parent is not recording or
+// the trace's span budget is spent.
+func recordPairSpan(parent *trace.Span, idx int, p Pair, sink *statsSink, total time.Duration) {
+	if !parent.Recording() {
 		return
 	}
 	end := time.Now()
-	ps := wsp.ChildAt("pair", end.Add(-total), total)
+	ps := parent.ChildAt("pair", end.Add(-total), total)
 	if ps == nil {
 		return
 	}
@@ -165,20 +234,22 @@ func recordPairSpan(wsp *trace.Span, idx int, p Pair, sink *statsSink, total tim
 	}
 }
 
-// evalPairGuarded evaluates one pair (and its visit callback) behind a
-// recover barrier: a panic — degenerate geometry, a bug in a pipeline
-// stage, a fault injected by a test — is captured and returned instead
-// of unwinding through the worker and killing the process.
-func evalPairGuarded(sweep *core.Sweeper, p Pair, idx int, visit func(int, core.Result)) (pv any, stack string) {
-	defer func() {
-		if r := recover(); r != nil {
-			pv = r
-			stack = string(debug.Stack())
+// RunFindRelationParallelCtx sweeps method m over the pairs on the
+// engine (see Sweep), with per-request cancellation and an optional
+// per-pair visitor. The returned stats cover only the pairs actually
+// evaluated (Pairs is reduced accordingly); a non-nil error is either a
+// *PanicError (some pairs' evaluation panicked; the rest were still
+// swept) or ctx's error. visit, when non-nil, is called concurrently
+// from the workers with the pair index and its result; it must be safe
+// for concurrent use.
+func RunFindRelationParallelCtx(ctx context.Context, m core.Method, pairs []Pair, workers int, visit func(i int, res core.Result)) (MethodStats, error) {
+	st, err := Sweep(ctx, pairs, workers, nil, func(w *Worker, i int) {
+		res := w.FindRelation(m, pairs[i].R, pairs[i].S)
+		w.sink.st.Relations[res.Relation]++
+		if visit != nil {
+			visit(i, res)
 		}
-	}()
-	res := sweep.FindRelation(p.R, p.S)
-	if visit != nil {
-		visit(idx, res)
-	}
-	return nil, ""
+	})
+	st.Method = m
+	return st, err
 }

@@ -20,7 +20,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	seq := RunFindRelation(core.PC, pairs)
 	for _, workers := range []int{1, 2, 7, 0} {
-		par, _ := RunFindRelationParallel(core.PC, pairs, workers)
+		par, _ := RunFindRelationParallelCtx(context.Background(), core.PC, pairs, workers, nil)
 		if par.Relations != seq.Relations {
 			t.Fatalf("workers=%d: relation histogram differs\nseq: %v\npar: %v",
 				workers, seq.Relations, par.Relations)
@@ -46,7 +46,7 @@ func TestParallelStageTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _ := RunFindRelationParallel(core.PC, pairs, 4)
+	par, _ := RunFindRelationParallelCtx(context.Background(), core.PC, pairs, 4, nil)
 	if par.FilterTime <= 0 {
 		t.Errorf("parallel FilterTime = %v, must be populated", par.FilterTime)
 	}
@@ -75,7 +75,7 @@ func TestParallelSpeedup(t *testing.T) {
 	// several trials.
 	work := pairs
 	for {
-		seq, _ := RunFindRelationParallel(core.OP2, work, 1)
+		seq, _ := RunFindRelationParallelCtx(context.Background(), core.OP2, work, 1, nil)
 		if seq.Elapsed >= 30*time.Millisecond {
 			break
 		}
@@ -84,7 +84,7 @@ func TestParallelSpeedup(t *testing.T) {
 	best := func(workers int) time.Duration {
 		b := time.Duration(math.MaxInt64)
 		for trial := 0; trial < 5; trial++ {
-			st, _ := RunFindRelationParallel(core.OP2, work, workers)
+			st, _ := RunFindRelationParallelCtx(context.Background(), core.OP2, work, workers, nil)
 			b = min(b, st.Elapsed)
 		}
 		return b
@@ -152,7 +152,7 @@ func TestParallelCtxCancelled(t *testing.T) {
 }
 
 func TestParallelEmptyAndTiny(t *testing.T) {
-	st, _ := RunFindRelationParallel(core.PC, nil, 4)
+	st, _ := RunFindRelationParallelCtx(context.Background(), core.PC, nil, 4, nil)
 	if st.Pairs != 0 || st.Undetermined != 0 {
 		t.Errorf("empty input: %+v", st)
 	}
@@ -161,7 +161,7 @@ func TestParallelEmptyAndTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := pairs[:1]
-	st, _ = RunFindRelationParallel(core.PC, one, 8)
+	st, _ = RunFindRelationParallelCtx(context.Background(), core.PC, one, 8, nil)
 	if st.Pairs != 1 {
 		t.Errorf("single pair: %+v", st)
 	}
@@ -176,7 +176,7 @@ func TestParallelPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _ := RunFindRelationParallel(core.OP2, pairs, 4)
+	clean, _ := RunFindRelationParallelCtx(context.Background(), core.OP2, pairs, 4, nil)
 
 	poisoned := make([]Pair, len(pairs))
 	copy(poisoned, pairs)
@@ -186,7 +186,7 @@ func TestParallelPanicIsolated(t *testing.T) {
 	bad := &core.Object{ID: pairs[3].R.ID, MBR: pairs[3].R.MBR, Approx: pairs[3].R.Approx}
 	poisoned[3] = Pair{R: bad, S: pairs[3].S}
 
-	st, err := RunFindRelationParallel(core.OP2, poisoned, 4)
+	st, err := RunFindRelationParallelCtx(context.Background(), core.OP2, poisoned, 4, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -206,7 +206,7 @@ func TestParallelPanicIsolated(t *testing.T) {
 		b := &core.Object{ID: pairs[i].R.ID, MBR: pairs[i].R.MBR, Approx: pairs[i].R.Approx}
 		poisoned[i] = Pair{R: b, S: pairs[i].S}
 	}
-	_, err = RunFindRelationParallel(core.OP2, poisoned, 4)
+	_, err = RunFindRelationParallelCtx(context.Background(), core.OP2, poisoned, 4, nil)
 	if !errors.As(err, &pe) || pe.Count != 4 {
 		t.Fatalf("4 poisoned pairs: err = %v", err)
 	}

@@ -23,7 +23,7 @@ func TestSlowPairTracking(t *testing.T) {
 		t.Fatalf("serial slow pair index %d out of range", serial.SlowPair)
 	}
 
-	par, err := RunFindRelationParallel(core.PC, pairs, 4)
+	par, err := RunFindRelationParallelCtx(context.Background(), core.PC, pairs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,17 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/de9im"
 	"repro/internal/geom"
+	"repro/internal/harness"
 	"repro/internal/join"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // probeMode selects what a relate probe evaluates per candidate.
@@ -43,40 +43,19 @@ type probeJob struct {
 	// shard, also holding both geometries, answers them).
 	owns func(probe, cand geom.MBR) bool
 
-	// span is the request's trace root span; track arms per-candidate
-	// timing (sampled trace or slow-query log). Candidate spans hang
-	// directly off span — relate has no worker level worth showing.
-	span  *trace.Span
-	track bool
+	// tally is the probe's share of the batch sweep: evaluated and
+	// refined counts, panics, slowest candidate. Its Span is the
+	// request's trace root, under which the probe's pair spans hang —
+	// relate has no worker level worth showing.
+	tally harness.Tally
 
 	mu        sync.Mutex
 	matches   []RelateMatch
 	truncated bool
-	slowObj   *core.Object  // slowest candidate so far (track only)
-	slowDur   time.Duration // its evaluation time
-	panicked  atomic.Int64  // candidates whose evaluation panicked
-	evaluated atomic.Int64
-	refined   atomic.Int64
 
 	candidates int
 	batchSize  int
 	done       chan error
-}
-
-// noteSlow records one timed candidate; the slowest wins the slot.
-func (j *probeJob) noteSlow(o *core.Object, d time.Duration) {
-	j.mu.Lock()
-	if d > j.slowDur {
-		j.slowObj, j.slowDur = o, d
-	}
-	j.mu.Unlock()
-}
-
-// slowest returns the slowest candidate seen (nil when untracked).
-func (j *probeJob) slowest() (*core.Object, time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.slowObj, j.slowDur
 }
 
 func (j *probeJob) addMatch(m RelateMatch) {
@@ -89,13 +68,37 @@ func (j *probeJob) addMatch(m RelateMatch) {
 	j.matches = append(j.matches, m)
 }
 
+// eval is the batcher's operation on one candidate of the probe: skip it
+// once the probe's deadline has passed, otherwise evaluate the probe's
+// mode on the worker's sweeper and keep a match.
+func (j *probeJob) eval(w *harness.Worker, obj *core.Object) {
+	if j.ctx.Err() != nil {
+		return // expired probe: skip its remaining work
+	}
+	switch j.mode {
+	case modePred:
+		if w.RelatePred(j.method, j.probe, obj, j.pred).Holds {
+			j.addMatch(RelateMatch{ID: obj.ID, Relation: j.pred.String()})
+		}
+	case modeMask:
+		if w.RelateMask(j.method, j.probe, obj, j.mask).Holds {
+			j.addMatch(RelateMatch{ID: obj.ID})
+		}
+	default: // modeFind
+		if res := w.FindRelation(j.method, j.probe, obj); res.Relation != de9im.Disjoint {
+			j.addMatch(RelateMatch{ID: obj.ID, Relation: res.Relation.String()})
+		}
+	}
+}
+
 // batcher micro-batches concurrent relate probes: jobs arriving within
 // batchWindow of each other (up to maxBatch) are grouped, jobs against
 // the same dataset are flattened into one (probe × candidate) task list,
-// and the whole group is swept by a single chunk-stealing worker pool —
-// so N concurrent probes cost one pool pass, not N goroutine fan-outs.
-// A lone request pays at most batchWindow of extra latency; under load
-// the channel is never empty and the window barely waits.
+// and the whole group is one pass of the parallel sweep engine
+// (harness.Sweep) — so N concurrent probes cost one pool pass, not N
+// goroutine fan-outs. A lone request pays at most batchWindow of extra
+// latency; under load the channel is never empty and the window barely
+// waits.
 type batcher struct {
 	jobs     chan *probeJob
 	window   time.Duration
@@ -104,13 +107,13 @@ type batcher struct {
 
 	batches   *obs.Counter
 	batchSize *obs.Histogram
-	// onPanic records a recovered per-task panic (counter + repro dump);
-	// nil in tests that build a bare batcher.
-	onPanic func(tag string, r, o *core.Object, rv any)
+	// onPanic records a batch sweep's recovered panics and the first
+	// panicked pair (counter + repro dump).
+	onPanic func(pe *harness.PanicError, first harness.Pair)
 }
 
 func newBatcher(window time.Duration, maxBatch, workers int, met *obs.Registry,
-	onPanic func(tag string, r, o *core.Object, rv any)) *batcher {
+	onPanic func(pe *harness.PanicError, first harness.Pair)) *batcher {
 	return &batcher{
 		jobs:     make(chan *probeJob, maxBatch),
 		window:   window,
@@ -163,8 +166,8 @@ func (b *batcher) drainFailed(ctx context.Context) {
 	}
 }
 
-// process groups the batch by dataset and sweeps each group with one
-// shared worker pool over the flattened (probe, candidate) tasks.
+// process groups the batch by dataset and sweeps each group in one
+// engine pass over the flattened (probe, candidate) tasks.
 func (b *batcher) process(batch []*probeJob) {
 	b.batches.Inc()
 	groups := make(map[*Entry][]*probeJob)
@@ -177,14 +180,9 @@ func (b *batcher) process(batch []*probeJob) {
 	}
 }
 
-// task is one probe-candidate evaluation.
-type task struct {
-	job *probeJob
-	obj *core.Object
-}
-
 func (b *batcher) processGroup(jobs []*probeJob) {
-	var tasks []task
+	var tasks []harness.Pair
+	var owners []*probeJob
 	for _, j := range jobs {
 		j.batchSize = len(jobs)
 		// All candidates come from the entry's merged epoch view: the
@@ -195,7 +193,8 @@ func (b *batcher) processGroup(jobs []*probeJob) {
 			if j.owns != nil && !j.owns(j.probe.MBR, e.Box) {
 				return
 			}
-			tasks = append(tasks, task{job: j, obj: j.entry.objAt(delta, e.ID)})
+			tasks = append(tasks, harness.Pair{R: j.probe, S: j.entry.objAt(delta, e.ID)})
+			owners = append(owners, j)
 			j.candidates++
 		})
 		if err != nil {
@@ -211,132 +210,28 @@ func (b *batcher) processGroup(jobs []*probeJob) {
 		}
 	}
 	if len(tasks) > 0 {
-		b.sweep(tasks)
+		// One engine pass over every probe's candidates; the batch has no
+		// deadline of its own, each probe's is checked by its operation.
+		_, err := harness.Sweep(context.Background(), tasks, b.workers,
+			func(i int) *harness.Tally { return &owners[i].tally },
+			func(w *harness.Worker, i int) { owners[i].eval(w, tasks[i].S) })
+		var pe *harness.PanicError
+		if errors.As(err, &pe) {
+			b.onPanic(pe, tasks[pe.Index])
+		}
 	}
 	for _, j := range live {
 		switch {
 		case j.ctx.Err() != nil:
 			j.done <- j.ctx.Err()
-		case j.panicked.Load() > 0:
+		case j.tally.Panics > 0:
 			// Only the probes whose candidate evaluation panicked fail;
 			// the rest of the batch answers normally.
 			j.done <- errf(http.StatusInternalServerError,
 				"evaluation panicked on %d candidate(s); repro dumped, see server log",
-				j.panicked.Load())
+				j.tally.Panics)
 		default:
 			j.done <- nil
-		}
-	}
-}
-
-// sweep runs the task list on a chunk-stealing worker pool, the same
-// shape as the harness's parallel find-relation sweep.
-func (b *batcher) sweep(tasks []task) {
-	workers := b.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	const chunk = 16
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(tasks) {
-					return
-				}
-				hi := lo + chunk
-				if hi > len(tasks) {
-					hi = len(tasks)
-				}
-				for _, t := range tasks[lo:hi] {
-					if t.job.ctx.Err() != nil {
-						continue // expired probe: skip its remaining work
-					}
-					b.evalTaskGuarded(t)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// evalTaskGuarded runs one probe-candidate evaluation behind a recover
-// barrier: a panicking candidate fails only its own probe (recorded on
-// the job), the rest of the batch — other probes sharing the same sweep
-// included — completes normally.
-func (b *batcher) evalTaskGuarded(t task) {
-	defer func() {
-		if rv := recover(); rv != nil {
-			t.job.panicked.Add(1)
-			if b.onPanic != nil {
-				b.onPanic("relate", t.job.probe, t.obj, rv)
-			}
-		}
-	}()
-	evalTask(t)
-}
-
-func evalTask(t task) {
-	j := t.job
-	// Tracked jobs (sampled trace or armed slow-query log) time each
-	// candidate; find mode additionally rides the observed pipeline to
-	// split the time into filter/refine stage spans. Untracked jobs run
-	// the plain path — the sink stays a nil interface.
-	var start time.Time
-	var filter, refineDur time.Duration
-	var sink core.PipelineSink
-	if j.track {
-		start = time.Now()
-		sink = core.SinkFunc(func(_ core.Method, _ core.Result, _ core.Verdict, f, r time.Duration) {
-			filter, refineDur = f, r
-		})
-	}
-	switch j.mode {
-	case modePred:
-		rr := core.RelatePred(j.method, j.probe, t.obj, j.pred)
-		if rr.Refined {
-			j.refined.Add(1)
-		}
-		if rr.Holds {
-			j.addMatch(RelateMatch{ID: t.obj.ID, Relation: j.pred.String()})
-		}
-	case modeMask:
-		rr := core.RelateMask(j.method, j.probe, t.obj, j.mask)
-		if rr.Refined {
-			j.refined.Add(1)
-		}
-		if rr.Holds {
-			j.addMatch(RelateMatch{ID: t.obj.ID})
-		}
-	default: // modeFind
-		res := core.FindRelationObserved(j.method, j.probe, t.obj, sink)
-		if res.Refined {
-			j.refined.Add(1)
-		}
-		if res.Relation != de9im.Disjoint {
-			j.addMatch(RelateMatch{ID: t.obj.ID, Relation: res.Relation.String()})
-		}
-	}
-	j.evaluated.Add(1)
-	if !j.track {
-		return
-	}
-	d := time.Since(start)
-	j.noteSlow(t.obj, d)
-	if ps := j.span.ChildAt("candidate", start, d); ps != nil {
-		ps.SetInt("id", int64(t.obj.ID))
-		if filter+refineDur > 0 {
-			ps.ChildAt("filter", start, filter)
-			if refineDur > 0 {
-				ps.ChildAt("refine", start.Add(d-refineDur), refineDur)
-			}
 		}
 	}
 }

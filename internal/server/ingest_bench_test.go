@@ -38,14 +38,14 @@ func TestZeroAllocMergedView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := core.NewSweeper(core.PC, core.NopSink{})
+	sweep := core.NewSweeper(core.NopSink{})
 	view := e.View()
 	ctx := context.Background()
 	pairs := 0
 	run := func() {
 		err := view.QueryContext(ctx, probe.MBR, func(delta bool, en join.Entry) {
 			pairs++
-			sweep.FindRelation(probe, e.objAt(delta, en.ID))
+			sweep.FindRelation(core.PC, probe, e.objAt(delta, en.ID))
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 // Panic isolation for the serving path. A panic while evaluating one
 // geometry pair — degenerate input, a pipeline bug, an injected fault —
-// must cost exactly that pair's request, never the process: the worker
-// pools here and in the harness recover at pair granularity, the HTTP
-// middleware recovers whatever leaks past them, and every recovered
-// pair is counted and dumped as a WKT repro case in the oracle's
-// regression-corpus format so the crash becomes a replayable test.
+// must cost exactly that pair's request, never the process: the sweep
+// engine (harness.Sweep) recovers at pair granularity for joins and
+// relate batches alike, the HTTP middleware recovers whatever leaks past
+// it, and every recovered panic is counted, with the first pair of each
+// sweep dumped as a WKT repro case in the oracle's regression-corpus
+// format so the crash becomes a replayable test.
 package server
 
 import (
@@ -17,18 +18,19 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/harness"
 	"repro/internal/wkt"
 )
 
-// pairPanic records one recovered per-pair panic: counter, log line,
-// and (when Config.ReproDir is set) a WKT dump of the offending pair.
-func (s *Server) pairPanic(tag string, r, o *core.Object, rv any) {
-	s.met.Counter("server_pair_panics_total").Inc()
-	path := dumpReproPair(s.cfg.ReproDir, tag, r, o, rv)
-	if path != "" {
-		s.logf("server: pair panic in %s: %v (repro dumped to %s)", tag, rv, path)
+// pairPanics records the recovered pair panics of one sweep: the
+// counter, one log line, and (when Config.ReproDir is set) a WKT dump
+// of the first panicked pair.
+func (s *Server) pairPanics(route string, pe *harness.PanicError, first harness.Pair) {
+	s.met.Counter("server_pair_panics_total").Add(int64(pe.Count))
+	if path := dumpReproPair(s.cfg.ReproDir, route, first.R, first.S, pe.Value); path != "" {
+		s.logf("server: %s: %v (repro dumped to %s)", route, pe, path)
 	} else {
-		s.logf("server: pair panic in %s: %v", tag, rv)
+		s.logf("server: %s: %v", route, pe)
 	}
 }
 
@@ -57,19 +59,6 @@ func dumpReproPair(dir, tag string, r, o *core.Object, rv any) string {
 		return ""
 	}
 	return path
-}
-
-// guardPair runs fn behind a recover barrier and reports whether it
-// panicked; the panic is recorded via pairPanic.
-func (s *Server) guardPair(tag string, r, o *core.Object, fn func()) (panicked bool) {
-	defer func() {
-		if rv := recover(); rv != nil {
-			panicked = true
-			s.pairPanic(tag, r, o, rv)
-		}
-	}()
-	fn()
-	return false
 }
 
 // handlerPanic records a panic that escaped every per-pair guard and

@@ -383,15 +383,20 @@ func TestServerDegradedHealthAndServing(t *testing.T) {
 }
 
 // TestRelatePanicIsolatedOverHTTP: a poisoned object (nil geometry)
-// panics during refinement; the probe that hits it gets a 500 with a
-// repro dump, other probes and the process live on.
+// panics during refinement. For every operation (find-relation,
+// relate_p, mask) on both routes (relate probe, join), the request that
+// hits it gets a 500 naming the panic, the panic is counted, and a
+// healthy request afterwards still answers: the process, the batcher
+// and the join sweep all survive.
 func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 	reproDir := t.TempDir()
 	met := obs.NewRegistry()
 	reg := NewRegistry(resSpace, resOrder)
 	reg.Instrument(met)
-	if _, err := reg.register("grid", "squares", resPolys()); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"grid", "grid2"} {
+		if _, err := reg.register(name, "squares", resPolys()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e, _ := reg.Get("grid")
 	e.Dataset.Objects[0].Poly = nil // poison: Refine will nil-deref
@@ -402,51 +407,77 @@ func TestRelatePanicIsolatedOverHTTP(t *testing.T) {
 	defer svc.Close()
 	c := NewClient(ts.URL)
 	ctx := context.Background()
+	panics := met.Counter("server_pair_panics_total")
 
-	// ST2 refines every MBR-surviving candidate, so a probe over object
-	// 0 must hit the poison.
-	_, err := c.Relate(ctx, RelateRequest{
-		Dataset: "grid", Method: "ST2",
-		WKT: "POLYGON ((5 5, 30 5, 30 30, 5 30, 5 5))",
-	})
-	var api *APIError
-	if !errors.As(err, &api) || api.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("poisoned probe: err = %v, want 500", err)
+	// ST2 refines every MBR-surviving candidate, and so do relate_p and
+	// the mask T******** under it: each operation must hit the poison.
+	ops := []struct{ name, pred, mask string }{
+		{name: "find"},
+		{name: "relate_p", pred: "intersects"},
+		{name: "mask", mask: "T********"},
 	}
-	if !strings.Contains(api.Message, "panicked") {
-		t.Fatalf("error message %q", api.Message)
+	for _, op := range ops {
+		t.Run(op.name+"/relate", func(t *testing.T) {
+			before := panics.Value()
+			_, err := c.Relate(ctx, RelateRequest{
+				Dataset: "grid", Method: "ST2", Predicate: op.pred, Mask: op.mask,
+				WKT: "POLYGON ((5 5, 30 5, 30 30, 5 30, 5 5))",
+			})
+			assertPanicked(t, err)
+			if panics.Value() <= before {
+				t.Fatal("pair panic not counted")
+			}
+			// A probe far from the poison answers normally.
+			resp, err := c.Relate(ctx, RelateRequest{
+				Dataset: "grid", Method: "ST2", Predicate: op.pred, Mask: op.mask,
+				WKT: "POLYGON ((200 200, 240 200, 240 240, 200 240, 200 200))",
+			})
+			if err != nil {
+				t.Fatalf("healthy probe after panic: %v", err)
+			}
+			if len(resp.Matches) == 0 {
+				t.Fatal("healthy probe found nothing")
+			}
+		})
+		t.Run(op.name+"/join", func(t *testing.T) {
+			before := panics.Value()
+			_, err := c.Join(ctx, JoinRequest{
+				Left: "grid", Right: "grid2", Method: "ST2", Predicate: op.pred, Mask: op.mask,
+			})
+			assertPanicked(t, err)
+			if panics.Value() <= before {
+				t.Fatal("pair panic not counted")
+			}
+			// A join that never touches the poison answers normally.
+			resp, err := c.Join(ctx, JoinRequest{
+				Left: "grid2", Right: "grid2", Method: "ST2", Predicate: op.pred, Mask: op.mask,
+			})
+			if err != nil {
+				t.Fatalf("healthy join after panic: %v", err)
+			}
+			if resp.Evaluated == 0 {
+				t.Fatal("healthy join evaluated nothing")
+			}
+		})
 	}
-	if got := met.Counter("server_pair_panics_total").Value(); got == 0 {
-		t.Fatal("pair panic not counted")
-	}
-	dumps := glob(t, filepath.Join(reproDir, "panic-relate-*.txt"))
+	dumps := glob(t, filepath.Join(reproDir, "panic-*.txt"))
 	if len(dumps) != 0 {
 		t.Fatalf("nil-geometry pair cannot be dumped, got %v", dumps)
 	}
-
-	// A probe far from the poison answers normally: the process and the
-	// batcher survived.
-	resp, err := c.Relate(ctx, RelateRequest{
-		Dataset: "grid", Method: "ST2",
-		WKT: "POLYGON ((200 200, 240 200, 240 240, 200 240, 200 200))",
-	})
-	if err != nil {
-		t.Fatalf("healthy probe after panic: %v", err)
-	}
-	if len(resp.Matches) == 0 {
-		t.Fatal("healthy probe found nothing")
-	}
-
-	// Same drill for the join path (per-pair guard in the harness sweep).
-	if _, err := reg.register("grid2", "squares", resPolys()); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Join(ctx, JoinRequest{Left: "grid", Right: "grid2", Method: "ST2"})
-	if !errors.As(err, &api) || api.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("poisoned join: err = %v, want 500", err)
-	}
 	if _, err := c.Health(ctx); err != nil {
-		t.Fatalf("server dead after poisoned join: %v", err)
+		t.Fatalf("server dead after poisoned requests: %v", err)
+	}
+}
+
+// assertPanicked checks err is the 500 a recovered pair panic maps to.
+func assertPanicked(t *testing.T, err error) {
+	t.Helper()
+	var api *APIError
+	if !errors.As(err, &api) || api.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("poisoned request: err = %v, want 500", err)
+	}
+	if !strings.Contains(api.Message, "panicked") {
+		t.Fatalf("error message %q", api.Message)
 	}
 }
 

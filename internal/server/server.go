@@ -188,7 +188,8 @@ func New(data *Registry, cfg Config) *Server {
 	s.rootCtx, s.rootCancel = context.WithCancelCause(context.Background())
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait,
 		met.Gauge("server_inflight"), met.Gauge("server_queue_depth"))
-	s.bat = newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.JoinWorkers, met, s.pairPanic)
+	s.bat = newBatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.JoinWorkers, met,
+		func(pe *harness.PanicError, first harness.Pair) { s.pairPanics("relate", pe, first) })
 	go s.bat.run(s.rootCtx)
 
 	// Build identity: constant gauge, labels carry the facts.
@@ -323,10 +324,11 @@ func (s *Server) route(name string, admit bool, h handlerFunc) http.HandlerFunc 
 				lat.SetExemplar(d.Seconds(), rsp.TraceID())
 			}
 		}
-		// Outermost panic barrier: whatever escapes the per-pair guards
-		// costs this request a 500, never the process. The handler has
-		// not written its response yet when it can still panic (payload
-		// encoding happens after it returns), so the error write is safe.
+		// Outermost panic barrier: whatever escapes the sweep engine's
+		// per-pair barrier costs this request a 500, never the process.
+		// The handler has not written its response yet when it can still
+		// panic (payload encoding happens after it returns), so the error
+		// write is safe.
 		wrote := false
 		defer func() {
 			if rv := recover(); rv != nil {
@@ -564,10 +566,9 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 		method: method,
 		limit:  s.clampLimit(req.Limit),
 		done:   make(chan error, 1),
-		span:   rsp,
 		owns:   s.owns,
 	}
-	job.track = rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
+	job.tally.Span = rsp
 	switch {
 	case req.Predicate != "" && req.Mask != "":
 		return nil, errf(http.StatusBadRequest, "give predicate or mask, not both")
@@ -615,14 +616,15 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 		return nil, rctx.Err()
 	}
 	elapsed := time.Since(start)
+	tally := &job.tally
 	rsp.SetInt("candidates", int64(job.candidates))
-	rsp.SetInt("evaluated", job.evaluated.Load())
-	rsp.SetInt("refined", job.refined.Load())
-	if slowObj, slowDur := job.slowest(); slowObj != nil {
-		rsp.SetInt("slow_candidate_id", int64(slowObj.ID))
+	rsp.SetInt("evaluated", int64(tally.Pairs))
+	rsp.SetInt("refined", int64(tally.Refined))
+	if slow, slowDur := tally.SlowPair, tally.SlowPairTime; slowDur > 0 {
+		rsp.SetInt("slow_candidate_id", int64(slow.S.ID))
 		rsp.SetInt("slow_candidate_ns", int64(slowDur))
 		if s.slowThr > 0 && elapsed >= s.slowThr {
-			s.dumpSlowPair("relate", rsp.TraceID(), job.probe, slowObj, slowDur)
+			s.dumpSlowPair("relate", rsp.TraceID(), slow.R, slow.S, slowDur)
 		}
 	}
 	matches := job.matches
@@ -632,8 +634,8 @@ func (s *Server) handleRelate(ctx context.Context, r *http.Request) (any, error)
 	return RelateResponse{
 		Dataset:      req.Dataset,
 		Candidates:   job.candidates,
-		Evaluated:    int(job.evaluated.Load()),
-		Refined:      int(job.refined.Load()),
+		Evaluated:    tally.Pairs,
+		Refined:      tally.Refined,
 		Matches:      matches,
 		Truncated:    job.truncated,
 		BatchSize:    job.batchSize,
@@ -672,7 +674,51 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	if req.Predicate != "" && req.Mask != "" {
 		return nil, errf(http.StatusBadRequest, "give predicate or mask, not both")
 	}
+	resp := JoinResponse{
+		Left: req.Left, Right: req.Right,
+		LeftEpoch: left.Epoch, LeftVersion: left.Version,
+		RightEpoch: right.Epoch, RightVersion: right.Version,
+	}
 	limit := s.clampLimit(req.Limit)
+	var mu sync.Mutex
+	addPair := func(p JoinPair, holds bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if holds {
+			resp.Holds++
+		}
+		if len(resp.Pairs) >= limit {
+			resp.Truncated = true
+			return
+		}
+		resp.Pairs = append(resp.Pairs, p)
+	}
+	// The per-pair operation for the sweep engine: relate_p or a mask;
+	// nil selects find-relation, through its harness entry point.
+	var pairs []harness.Pair
+	var op harness.Op
+	switch {
+	case req.Predicate != "":
+		pred, err := parseRelation(req.Predicate)
+		if err != nil {
+			return nil, err
+		}
+		op = func(w *harness.Worker, i int) {
+			if p := pairs[i]; w.RelatePred(method, p.R, p.S, pred).Holds {
+				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID, Relation: pred.String()}, true)
+			}
+		}
+	case req.Mask != "":
+		mask, err := de9im.ParseMask(req.Mask)
+		if err != nil {
+			return nil, errf(http.StatusBadRequest, "mask: %v", err)
+		}
+		op = func(w *harness.Worker, i int) {
+			if p := pairs[i]; w.RelateMask(method, p.R, p.S, mask).Holds {
+				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID}, true)
+			}
+		}
+	}
 
 	rctx, cancel := s.requestCtx(ctx, req.TimeoutMS)
 	defer cancel()
@@ -687,7 +733,6 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	// Candidate generation: synchronized R-tree traversal over the two
 	// once-built indexes, abandoned mid-tree when the deadline expires.
 	csp := rsp.Child("candidates")
-	var pairs []harness.Pair
 	err = join.JoinViews(rctx, left.View(), right.View(), func(aDelta, bDelta bool, a, b join.Entry) {
 		// Shard mode: skip candidate pairs this shard does not own
 		// under the reference-point rule — the shard holding the
@@ -704,69 +749,12 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 		return nil, err
 	}
 	rsp.SetInt("candidates", int64(len(pairs)))
+	resp.Candidates = len(pairs)
 
-	resp := JoinResponse{
-		Left: req.Left, Right: req.Right, Candidates: len(pairs),
-		LeftEpoch: left.Epoch, LeftVersion: left.Version,
-		RightEpoch: right.Epoch, RightVersion: right.Version,
-	}
-	var mu sync.Mutex
-	addPair := func(p JoinPair) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(resp.Pairs) >= limit {
-			resp.Truncated = true
-			return
-		}
-		resp.Pairs = append(resp.Pairs, p)
-	}
-
-	slowIdx, slowDur := -1, time.Duration(0)
-	switch {
-	case req.Predicate != "":
-		pred, perr := parseRelation(req.Predicate)
-		if perr != nil {
-			return nil, perr
-		}
-		slowIdx, slowDur, err = s.sweepPairs(rctx, pairs, func(p harness.Pair) {
-			rr := core.RelatePred(method, p.R, p.S, pred)
-			mu.Lock()
-			resp.Evaluated++
-			if rr.Refined {
-				resp.Refined++
-			}
-			if rr.Holds {
-				resp.Holds++
-			}
-			mu.Unlock()
-			if rr.Holds {
-				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID, Relation: pred.String()})
-			}
-		})
-	case req.Mask != "":
-		mask, merr := de9im.ParseMask(req.Mask)
-		if merr != nil {
-			return nil, errf(http.StatusBadRequest, "mask: %v", merr)
-		}
-		slowIdx, slowDur, err = s.sweepPairs(rctx, pairs, func(p harness.Pair) {
-			rr := core.RelateMask(method, p.R, p.S, mask)
-			mu.Lock()
-			resp.Evaluated++
-			if rr.Refined {
-				resp.Refined++
-			}
-			if rr.Holds {
-				resp.Holds++
-			}
-			mu.Unlock()
-			if rr.Holds {
-				addPair(JoinPair{LeftID: p.R.ID, RightID: p.S.ID})
-			}
-		})
-	default:
-		// Find-relation join: the harness's chunk-stealing parallel
-		// sweep, deadline-aware, publishing its stats into the registry.
-		var st harness.MethodStats
+	var st harness.MethodStats
+	if op != nil {
+		st, err = harness.Sweep(rctx, pairs, s.cfg.JoinWorkers, nil, op)
+	} else {
 		st, err = harness.RunFindRelationParallelCtx(rctx, method, pairs, s.cfg.JoinWorkers,
 			func(i int, res core.Result) {
 				if res.Relation != de9im.Disjoint {
@@ -774,25 +762,9 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 						LeftID:   pairs[i].R.ID,
 						RightID:  pairs[i].S.ID,
 						Relation: res.Relation.String(),
-					})
+					}, false)
 				}
 			})
-		var pe *harness.PanicError
-		if errors.As(err, &pe) {
-			// The harness recovered the panic at pair granularity and
-			// swept everything else; surface it as a per-request error
-			// with the offending pair preserved as a repro case.
-			s.met.Counter("server_pair_panics_total").Add(int64(pe.Count))
-			p := pairs[pe.Index]
-			if path := dumpReproPair(s.cfg.ReproDir, "join-find", p.R, p.S, pe.Value); path != "" {
-				s.logf("server: %v (repro dumped to %s)", pe, path)
-			} else {
-				s.logf("server: %v", pe)
-			}
-			err = errf(http.StatusInternalServerError, "%v", pe)
-		}
-		resp.Evaluated = st.Pairs
-		resp.Refined = st.Undetermined
 		resp.Relations = make(map[string]int)
 		for rel, n := range st.Relations {
 			if n > 0 {
@@ -800,11 +772,21 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 			}
 		}
 		st.Publish(s.met, "server_join")
-		slowIdx, slowDur = st.SlowPair, st.SlowPairTime
+	}
+	var pe *harness.PanicError
+	if errors.As(err, &pe) {
+		// The engine recovered the panic at pair granularity and swept
+		// everything else; surface it as a per-request error with the
+		// offending pair preserved as a repro case.
+		s.pairPanics("join", pe, pairs[pe.Index])
+		err = errf(http.StatusInternalServerError, "%v", pe)
 	}
 	if err != nil {
 		return nil, err
 	}
+	resp.Evaluated = st.Pairs
+	resp.Refined = st.Undetermined
+	slowIdx, slowDur := st.SlowPair, st.SlowPairTime
 	elapsed := time.Since(start)
 	rsp.SetInt("evaluated", int64(resp.Evaluated))
 	rsp.SetInt("refined", int64(resp.Refined))
@@ -821,91 +803,4 @@ func (s *Server) handleJoin(ctx context.Context, r *http.Request) (any, error) {
 	}
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	return resp, nil
-}
-
-// sweepPairs evaluates fn over the pairs with the shared worker-pool
-// shape, stopping at chunk granularity when ctx is done. Each pair runs
-// behind a recover barrier: a panicking pair is counted, repro-dumped
-// and reported as an error, and every other pair is still evaluated —
-// one poisonous geometry never kills the pool. When the request's trace
-// is sampled each worker gets a child span with per-pair spans under
-// it, and when either tracing or the slow-query log is armed the pairs
-// are individually timed so the sweep reports its slowest pair
-// (slowIdx -1, slowDur 0 when untracked or empty).
-func (s *Server) sweepPairs(ctx context.Context, pairs []harness.Pair, fn func(harness.Pair)) (slowIdx int, slowDur time.Duration, err error) {
-	workers := s.cfg.JoinWorkers
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rsp := trace.FromContext(ctx)
-	track := rsp.Recording() || (s.slowThr > 0 && s.cfg.SlowDir != "")
-	const chunk = 16
-	var cursor atomic.Int64
-	var panicked atomic.Int64
-	var mu sync.Mutex // guards slowIdx, slowDur
-	slowIdx = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := rsp.Child("sweep.worker")
-			wsp.SetInt("worker", int64(w))
-			swept := 0
-			localIdx, localDur := -1, time.Duration(0)
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(pairs) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(pairs) {
-					hi = len(pairs)
-				}
-				if ctx.Err() != nil {
-					continue
-				}
-				for i, p := range pairs[lo:hi] {
-					p := p
-					var t0 time.Time
-					if track {
-						t0 = time.Now()
-					}
-					if s.guardPair("join", p.R, p.S, func() { fn(p) }) {
-						panicked.Add(1)
-						continue
-					}
-					if track {
-						d := time.Since(t0)
-						if d > localDur {
-							localIdx, localDur = lo+i, d
-						}
-						if ps := wsp.ChildAt("pair", t0, d); ps != nil {
-							ps.SetInt("r_id", int64(p.R.ID))
-							ps.SetInt("s_id", int64(p.S.ID))
-						}
-					}
-				}
-				swept += hi - lo
-			}
-			wsp.SetInt("pairs", int64(swept))
-			wsp.End()
-			if localDur > 0 {
-				mu.Lock()
-				if localDur > slowDur {
-					slowIdx, slowDur = localIdx, localDur
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := panicked.Load(); n > 0 {
-		return slowIdx, slowDur, errf(http.StatusInternalServerError,
-			"evaluation panicked on %d pair(s); repro dumped, see server log", n)
-	}
-	return slowIdx, slowDur, ctx.Err()
 }

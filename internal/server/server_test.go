@@ -444,6 +444,10 @@ func TestShutdownGraceForceCancels(t *testing.T) {
 	}
 }
 
+// TestRelateBatching: concurrent probes share batches, and a batch that
+// mixes operations (find-relation, relate_p, mask) answers each probe
+// exactly as a lone request does — per-probe matches and counts stay
+// apart although one sweep evaluates them all.
 func TestRelateBatching(t *testing.T) {
 	// Plenty of slots and queue patience: this test is about batching,
 	// not admission (on a 1-CPU box probe preprocessing serializes).
@@ -452,8 +456,23 @@ func TestRelateBatching(t *testing.T) {
 		MaxInFlight: 16, QueueWait: 5 * time.Second,
 	}, "OPE")
 	want := directMatches(t, svc, "OPE", probeWKT)
+	reqs := []RelateRequest{
+		{Dataset: "OPE", WKT: probeWKT, Limit: 100000},
+		{Dataset: "OPE", WKT: probeWKT, Limit: 100000, Predicate: "intersects"},
+		{Dataset: "OPE", WKT: probeWKT, Limit: 100000, Mask: "T********"},
+	}
+	solo := make([]*RelateResponse, len(reqs))
+	for k, req := range reqs {
+		var err error
+		if solo[k], err = c.Relate(context.Background(), req); err != nil {
+			t.Fatalf("solo %d: %v", k, err)
+		}
+	}
+	if len(solo[0].Matches) != len(want) {
+		t.Fatalf("solo find: %d matches, want %d", len(solo[0].Matches), len(want))
+	}
 
-	const n = 8
+	const n = 9
 	resps := make([]*RelateResponse, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -461,9 +480,7 @@ func TestRelateBatching(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = c.Relate(context.Background(), RelateRequest{
-				Dataset: "OPE", WKT: probeWKT, Limit: 100000,
-			})
+			resps[i], errs[i] = c.Relate(context.Background(), reqs[i%len(reqs)])
 		}(i)
 	}
 	wg.Wait()
@@ -473,17 +490,20 @@ func TestRelateBatching(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("probe %d: %v", i, errs[i])
 		}
-		if len(resps[i].Matches) != len(want) {
-			t.Fatalf("probe %d: %d matches, want %d", i, len(resps[i].Matches), len(want))
+		got, ref := resps[i], solo[i%len(reqs)]
+		if len(got.Matches) != len(ref.Matches) || got.Evaluated != ref.Evaluated || got.Refined != ref.Refined {
+			t.Fatalf("probe %d: %d matches, %d evaluated, %d refined; alone %d, %d, %d",
+				i, len(got.Matches), got.Evaluated, got.Refined,
+				len(ref.Matches), ref.Evaluated, ref.Refined)
 		}
-		if resps[i].BatchSize > maxBatch {
-			maxBatch = resps[i].BatchSize
+		if got.BatchSize > maxBatch {
+			maxBatch = got.BatchSize
 		}
 	}
 	if maxBatch < 2 {
 		t.Fatalf("no batching observed: max batch size = %d", maxBatch)
 	}
-	if svc.met.Counter("server_relate_batches_total").Value() >= n {
+	if svc.met.Counter("server_relate_batches_total").Value() >= int64(len(reqs)+n) {
 		t.Errorf("every probe got its own batch; micro-batching ineffective")
 	}
 }

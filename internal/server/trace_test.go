@@ -30,68 +30,90 @@ func newTracedServer(t *testing.T, cfg Config, sets ...string) (*Server, *Client
 	return svc, NewClient(ts.URL), tr, ts.URL
 }
 
-// TestJoinTraceDepth is the tentpole acceptance check: a sampled
-// /v1/join yields a trace with at least three nested span levels
-// (handler → sweep worker → settling stage) and the buffer exports as
-// valid Chrome trace JSON through /debug/traces.
-func TestJoinTraceDepth(t *testing.T) {
-	_, c, tr, base := newTracedServer(t, Config{}, "OLE", "OPE")
-	jr, err := c.Join(context.Background(), JoinRequest{Left: "OLE", Right: "OPE", Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jr.Candidates == 0 || jr.Evaluated == 0 {
-		t.Fatalf("join swept nothing: %+v", jr)
-	}
-
+// traceOf returns the last buffered trace whose root is named root.
+func traceOf(t *testing.T, tr *trace.Tracer, root string) trace.TraceData {
+	t.Helper()
 	var td trace.TraceData
 	for _, cand := range tr.Traces() {
-		if cand.Root.Name == "http.join" {
+		if cand.Root.Name == root {
 			td = cand
 		}
 	}
 	if td.ID == "" {
-		t.Fatalf("no http.join trace buffered; have %d traces", len(tr.Traces()))
+		t.Fatalf("no %s trace buffered; have %d traces", root, len(tr.Traces()))
 	}
-	if !td.Sampled {
-		t.Fatalf("trace not sampled: %+v", td)
-	}
-	if depth := td.Root.Depth(); depth < 3 {
-		t.Fatalf("trace depth = %d, want >= 3 (handler → worker → pair)", depth)
-	}
-	if td.Root.Attr("left") != "OLE" || td.Root.Attr("right") != "OPE" {
-		t.Fatalf("root attrs = %+v", td.Root.Attrs)
-	}
-	if v, ok := td.Root.IntAttr("candidates"); !ok || v != int64(jr.Candidates) {
-		t.Fatalf("candidates attr = %d (%v), want %d", v, ok, jr.Candidates)
-	}
-	if v, ok := td.Root.IntAttr("http_status"); !ok || v != http.StatusOK {
-		t.Fatalf("http_status attr = %d (%v)", v, ok)
-	}
-	// After chunk stealing a worker may own no pairs at all, so the stage
-	// spans are looked for under every sweep.worker, not one of them.
-	workers, foundStage := 0, false
-	for _, worker := range td.Root.Children {
-		if worker.Name != "sweep.worker" {
-			continue
+	return td
+}
+
+// hasStage reports whether a pair span has a filter or refine child.
+func hasStage(pair trace.SpanData) bool {
+	for _, stage := range pair.Children {
+		if stage.Name == "filter" || stage.Name == "refine" {
+			return true
 		}
-		workers++
-		for _, pair := range worker.Children {
-			if pair.Name != "pair" {
+	}
+	return false
+}
+
+// TestJoinTraceDepth is the tentpole acceptance check: a sampled
+// /v1/join yields a trace with at least three nested span levels
+// (handler → sweep worker → settling stage) for every operation —
+// find-relation, relate_p and mask all run on the one sweep engine —
+// and the buffer exports as valid Chrome trace JSON through
+// /debug/traces.
+func TestJoinTraceDepth(t *testing.T) {
+	_, c, tr, base := newTracedServer(t, Config{}, "OLE", "OPE")
+	for _, op := range []struct{ name, pred, mask string }{
+		{name: "find"},
+		{name: "predicate", pred: "intersects"},
+		{name: "mask", mask: "T********"},
+	} {
+		jr, err := c.Join(context.Background(), JoinRequest{
+			Left: "OLE", Right: "OPE", Limit: 10, Predicate: op.pred, Mask: op.mask,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if jr.Candidates == 0 || jr.Evaluated == 0 {
+			t.Fatalf("%s: join swept nothing: %+v", op.name, jr)
+		}
+
+		td := traceOf(t, tr, "http.join")
+		if !td.Sampled {
+			t.Fatalf("%s: trace not sampled: %+v", op.name, td)
+		}
+		if depth := td.Root.Depth(); depth < 3 {
+			t.Fatalf("%s: trace depth = %d, want >= 3 (handler → worker → pair)", op.name, depth)
+		}
+		if td.Root.Attr("left") != "OLE" || td.Root.Attr("right") != "OPE" {
+			t.Fatalf("%s: root attrs = %+v", op.name, td.Root.Attrs)
+		}
+		if v, ok := td.Root.IntAttr("candidates"); !ok || v != int64(jr.Candidates) {
+			t.Fatalf("%s: candidates attr = %d (%v), want %d", op.name, v, ok, jr.Candidates)
+		}
+		if v, ok := td.Root.IntAttr("http_status"); !ok || v != http.StatusOK {
+			t.Fatalf("%s: http_status attr = %d (%v)", op.name, v, ok)
+		}
+		// After chunk stealing a worker may own no pairs at all, so the
+		// stage spans are looked for under every sweep.worker, not one.
+		workers, foundStage := 0, false
+		for _, worker := range td.Root.Children {
+			if worker.Name != "sweep.worker" {
 				continue
 			}
-			for _, stage := range pair.Children {
-				if stage.Name == "filter" || stage.Name == "refine" {
+			workers++
+			for _, pair := range worker.Children {
+				if pair.Name == "pair" && hasStage(pair) {
 					foundStage = true
 				}
 			}
 		}
-	}
-	if workers == 0 {
-		t.Fatalf("no sweep.worker span under root; children: %+v", td.Root.Children)
-	}
-	if !foundStage {
-		t.Fatalf("no settling-stage span under any pair span of %d workers", workers)
+		if workers == 0 {
+			t.Fatalf("%s: no sweep.worker span under root; children: %+v", op.name, td.Root.Children)
+		}
+		if !foundStage {
+			t.Fatalf("%s: no settling-stage span under any pair span of %d workers", op.name, workers)
+		}
 	}
 
 	// The buffer must export as valid Chrome trace JSON over HTTP.
@@ -111,40 +133,50 @@ func TestJoinTraceDepth(t *testing.T) {
 	}
 }
 
-// TestRelateTraceCandidates: a sampled relate probe records candidate
-// spans (with stage children) under the handler root via the batcher.
+// TestRelateTraceCandidates: a sampled relate probe records pair spans,
+// each with a filter stage child, directly under its handler root for
+// every relate mode — the batcher sweeps on the same engine as joins,
+// with the probe's own root standing in for the worker span.
 func TestRelateTraceCandidates(t *testing.T) {
 	_, c, tr, _ := newTracedServer(t, Config{}, "OPE")
-	rr, err := c.Relate(context.Background(), RelateRequest{Dataset: "OPE", WKT: probeWKT, Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Candidates == 0 {
-		t.Fatalf("probe found no candidates: %+v", rr)
-	}
-	var td trace.TraceData
-	for _, cand := range tr.Traces() {
-		if cand.Root.Name == "http.relate" {
-			td = cand
+	for _, op := range []struct{ name, pred, mask string }{
+		{name: "find"},
+		{name: "predicate", pred: "intersects"},
+		{name: "mask", mask: "T********"},
+	} {
+		rr, err := c.Relate(context.Background(), RelateRequest{
+			Dataset: "OPE", WKT: probeWKT, Limit: 10, Predicate: op.pred, Mask: op.mask,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
 		}
-	}
-	if td.ID == "" {
-		t.Fatal("no http.relate trace buffered")
-	}
-	candidates := 0
-	for _, ch := range td.Root.Children {
-		if ch.Name == "candidate" {
-			candidates++
+		if rr.Candidates == 0 {
+			t.Fatalf("%s: probe found no candidates: %+v", op.name, rr)
 		}
-	}
-	if candidates == 0 {
-		t.Fatalf("no candidate spans; children: %+v", td.Root.Children)
-	}
-	if td.Root.Attr("dataset") != "OPE" {
-		t.Fatalf("root attrs = %+v", td.Root.Attrs)
-	}
-	if _, ok := td.Root.IntAttr("slow_candidate_ns"); !ok {
-		t.Fatalf("missing slow-candidate forensics; attrs = %+v", td.Root.Attrs)
+		td := traceOf(t, tr, "http.relate")
+		pairs, staged := 0, 0
+		for _, ch := range td.Root.Children {
+			if ch.Name != "pair" {
+				continue
+			}
+			pairs++
+			for _, stage := range ch.Children {
+				if stage.Name == "filter" {
+					staged++
+					break
+				}
+			}
+		}
+		if pairs != rr.Evaluated || staged != pairs {
+			t.Fatalf("%s: %d pair spans (%d with a filter child), want %d evaluated; children: %+v",
+				op.name, pairs, staged, rr.Evaluated, td.Root.Children)
+		}
+		if td.Root.Attr("dataset") != "OPE" {
+			t.Fatalf("%s: root attrs = %+v", op.name, td.Root.Attrs)
+		}
+		if _, ok := td.Root.IntAttr("slow_candidate_ns"); !ok {
+			t.Fatalf("%s: missing slow-candidate forensics; attrs = %+v", op.name, td.Root.Attrs)
+		}
 	}
 }
 
